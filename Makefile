@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race test-failsoft test-log fuzz bench bench-lp bench-short bench-serve experiments figures clean
+.PHONY: all build vet fmt-check doc-check smoke-serve smoke-recover smoke-replay smoke-chaos smoke-tenants check test test-race stress-determinism test-failsoft test-log fuzz bench bench-lp bench-short bench-serve experiments figures clean
 
 all: build check test test-race
 
@@ -34,7 +34,7 @@ smoke-serve:
 smoke-recover:
 	@$(GO) build -o augmentd.smoke ./cmd/augmentd
 	@rm -rf smoke_wal
-	@./augmentd.smoke -selftest -kill -requests 128 -selftest-workers 1 -selftest-batchers 4 \
+	@./augmentd.smoke -selftest -kill -requests 128 -selftest-workers 1 \
 		-wal-dir smoke_wal -residual 1.0 -log-level warn | tee smoke_kill.txt
 	@./augmentd.smoke -restore-only -wal-dir smoke_wal -residual 1.0 -log-level warn | tee smoke_restore.txt
 	@k="$$(grep -o 'hash=[0-9a-f]* placed=[0-9]*' smoke_kill.txt | head -n 1)"; \
@@ -45,15 +45,15 @@ smoke-recover:
 	@rm -rf smoke_wal smoke_kill.txt smoke_restore.txt augmentd.smoke
 
 # Record/replay determinism check: one selftest pass records its request
-# trace, then fresh services at every worker × batcher combination replay it
+# trace, then fresh services at every listed worker count replay it
 # and must reproduce the recorded run's final state hash and per-request
 # placements bit-identically (verified against the trace's EOF trailer).
 smoke-replay:
 	@$(GO) build -o augmentd.replay ./cmd/augmentd
 	@rm -f smoke_replay.trace
-	@./augmentd.replay -selftest -requests 128 -selftest-workers 1 -selftest-batchers 1 \
+	@./augmentd.replay -selftest -requests 128 -selftest-workers 1 \
 		-record smoke_replay.trace -residual 1.0 -log-level warn
-	@./augmentd.replay -replay smoke_replay.trace -selftest-workers 1,8 -selftest-batchers 1,4 \
+	@./augmentd.replay -replay smoke_replay.trace -selftest-workers 1,2,8 \
 		-residual 1.0 -log-level warn
 	@rm -f smoke_replay.trace augmentd.replay
 
@@ -61,20 +61,20 @@ smoke-replay:
 # MTBF/MTTR renewal schedule) between waves; the watchdog destroys hosted
 # instances, raises alerts, and proactively re-augments every failed session.
 # The run must agree bit-for-bit — placement log AND chaos log — across every
-# worker × batcher combination, end with zero silent SLO violations, and its
-# WAL replay must reproduce the final state including the down set. A second
-# pass records the drill's trace (node transitions, reaug releases and sync
-# re-admissions included) and replays it at other combinations.
+# listed worker count, end with zero silent SLO violations, and its WAL replay
+# must reproduce the final state including the down set. A second pass
+# records the drill's trace (node transitions, reaug releases and sync
+# re-admissions included) and replays it at other worker counts.
 smoke-chaos:
 	@$(GO) build -o augmentd.chaos ./cmd/augmentd
 	@rm -rf chaos_wal chaos.trace
 	@./augmentd.chaos -selftest -chaos -chaos-mtbf 3 -chaos-mttr 2 -chaos-degraded 0.25 \
-		-requests 96 -release-every 8 -selftest-workers 1,8 -selftest-batchers 1,4 \
+		-requests 96 -release-every 8 -selftest-workers 1,2,8 \
 		-wal-dir chaos_wal -residual 1.0 -log-level error 2>/dev/null
 	@./augmentd.chaos -selftest -chaos -chaos-mtbf 3 -chaos-mttr 2 -chaos-degraded 0.25 \
-		-requests 96 -release-every 8 -selftest-workers 1 -selftest-batchers 1 \
+		-requests 96 -release-every 8 -selftest-workers 1 \
 		-record chaos.trace -residual 1.0 -log-level error 2>/dev/null
-	@./augmentd.chaos -replay chaos.trace -selftest-workers 1,8 -selftest-batchers 1,4 \
+	@./augmentd.chaos -replay chaos.trace -selftest-workers 1,2,8 \
 		-residual 1.0 -log-level error 2>/dev/null
 	@rm -rf chaos_wal chaos.trace augmentd.chaos
 
@@ -108,6 +108,13 @@ test-race:
 	$(GO) test -race -count=2 ./internal/serve/...
 	$(GO) test -race -count=2 -run BitIdenticalAcrossWorkers ./internal/core/
 
+# Repeat-50 race pass over every serving determinism and record/replay test
+# on two procs, so the scheduler reshuffles interleavings between the
+# dispatcher, the solver workers, releases and the WAL. Slow (minutes); kept
+# out of all/check.
+stress-determinism:
+	GOMAXPROCS=2 $(GO) test -race -count=50 -run 'Determinism|RoundTrip' ./internal/serve/...
+
 # Resilience-layer tests under the race detector: the fail-soft engine
 # (panic recovery, deadlines, deterministic retries), the solver fallback
 # chains, and the fault-injected DES.
@@ -115,10 +122,12 @@ test-failsoft:
 	$(GO) test -race -run 'Partial|FailSoft|Fallback|Fault|Exhaustion|Budget' \
 		./internal/engine/ ./internal/core/ ./internal/des/
 
-# Short fuzzing pass over the fallback chain (the pinned seed corpus in
-# internal/core/testdata/fuzz always runs as part of plain `go test`).
+# Short fuzzing passes over the fallback chain and the WAL frame decoder (the
+# pinned seed corpora under internal/core/testdata/fuzz and
+# internal/serve/wal/testdata/fuzz always run as part of plain `go test`).
 fuzz:
 	$(GO) test -run FuzzFallbackChain -fuzz FuzzFallbackChain -fuzztime 15s ./internal/core/
+	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/serve/wal/
 
 # Full test log, as referenced by EXPERIMENTS.md.
 test-log:
@@ -160,25 +169,24 @@ bench-short:
 	$(GO) run ./cmd/benchdiff -parse results/bench_output.txt -label $(BENCH_LABEL) -out BENCH_$(BENCH_LABEL).json
 
 # Serving-throughput snapshot: the augmentd selftest prints a benchmark-style
-# line per (workers, batchers) combination that benchdiff parses into
-# BENCH_<label>.json (e.g. BENCH_pr6.json). The regime is the batcher-scaling
-# load test — short chains, all-admit capacity, one-request batches, durable
-# WAL with fsync-per-commit — so the printed "batcher scaling" ratio tracks
-# the MVCC group-commit speedup of 4 batchers over 1.
-# The selftest also records the first combination's request trace; a canned
-# replay of that trace at 1 and 4 batchers then re-verifies bit-identity and
-# contributes BenchmarkAugmentdReplay lines to the same parsed artifact, so
-# benchdiff -diff guards the replay trajectory alongside serving throughput.
+# line per worker count that benchdiff parses into BENCH_<label>.json. The
+# regime is the durable load test — short chains, all-admit capacity,
+# one-request batches, WAL with fsync-per-commit — so every request pays one
+# fsync and the line tracks the commit path's disk cost.
+# The selftest also records the first run's request trace; a canned replay of
+# that trace at 1 and 2 workers then re-verifies bit-identity and contributes
+# BenchmarkAugmentdReplay lines to the same parsed artifact, so benchdiff
+# -diff guards the replay trajectory alongside serving throughput.
 bench-serve:
 	@rm -rf serve_bench_wal serve_bench.trace
 	@mkdir -p results
 	$(GO) run ./cmd/augmentd -selftest -requests 3000 -batch 1 \
-		-selftest-workers 1 -selftest-batchers 1,4 -wal-dir serve_bench_wal \
+		-selftest-workers 1 -wal-dir serve_bench_wal \
 		-aps 20 -cloudlets 0.5 -residual 1.0 -capacity-scale 25000 \
 		-dup-every 0 -release-every 0 -rho 0.9 -chain-min 2 -chain-max 3 \
 		-record serve_bench.trace -log-level warn | tee results/serve_bench.txt
 	$(GO) run ./cmd/augmentd -replay serve_bench.trace -batch 1 \
-		-selftest-workers 1 -selftest-batchers 1,4 \
+		-selftest-workers 1,2 \
 		-aps 20 -cloudlets 0.5 -residual 1.0 -capacity-scale 25000 \
 		-log-level warn | tee -a results/serve_bench.txt
 	$(GO) run ./cmd/benchdiff -parse results/serve_bench.txt -label $(BENCH_LABEL) -out BENCH_$(BENCH_LABEL).json

@@ -4,7 +4,7 @@
 // registry, and releases them on demand. See API.md for the wire protocol.
 //
 //	go run ./cmd/augmentd -addr :8080 -obs-addr :9090
-//	go run ./cmd/augmentd -selftest -requests 128 -selftest-workers 1,8 -selftest-batchers 1,4
+//	go run ./cmd/augmentd -selftest -requests 128 -selftest-workers 1,8
 //	go run ./cmd/augmentd -wal-dir /var/lib/augmentd -restore
 //	curl -s localhost:8080/v1/healthz
 //
@@ -13,20 +13,19 @@
 // the listener shuts down. With -wal-dir every committed epoch is durable and
 // -restore boots from the log's exact pre-crash state. In -selftest mode no
 // socket is opened: the deterministic in-process load generator runs the same
-// request stream at every (workers, batchers) combination from
-// -selftest-workers × -selftest-batchers and the process exits non-zero
-// unless the placement logs are bit-identical, nothing was dropped below the
-// queue bound, and (when -wal-dir is set) replaying each run's WAL reproduces
-// its exact final state hash and placement count. The selftest prints
-// `go test -bench`-style result lines per combination, so `cmd/benchdiff
-// -parse` can record throughput snapshots (BENCH_pr6.json), plus the batcher
-// scaling ratio. -kill runs one selftest pass, prints the durable state
+// request stream at every worker count in -selftest-workers and the process
+// exits non-zero unless the placement logs are bit-identical, nothing was
+// dropped below the queue bound, and (when -wal-dir is set) replaying each
+// run's WAL reproduces its exact final state hash and placement count. The
+// selftest prints `go test -bench`-style result lines per worker count, so
+// `cmd/benchdiff -parse` can record throughput snapshots. -kill runs one
+// selftest pass, prints the durable state
 // line, and SIGKILLs the process mid-flight tooling can then verify with
 // -restore-only (see `make smoke-recover`). -chaos turns the selftest into a
 // failure drill: deterministic node outages (seeded MTBF/MTTR renewal
 // schedule, -chaos-*) are injected between waves, each followed by a watchdog
 // audit + re-augmentation round, and the run additionally pins a bit-identical
-// chaos log across combinations plus zero silent SLO violations at the end
+// chaos log across worker counts plus zero silent SLO violations at the end
 // (see `make smoke-chaos`).
 //
 // Flag reference, grouped by concern:
@@ -38,8 +37,9 @@
 // picks the primary placement policy (random or maxrel).
 //
 // Serving pipeline. -queue bounds the admission queue (full answers 429),
-// -batch and -batch-wait shape micro-batches, -workers sets solver workers
-// per batch and -batchers the concurrent micro-batchers; -solver (or an
+// -batch and -batch-wait shape micro-batches, which one sequencer executes
+// and commits in admission order, -workers sets solver workers per batch;
+// -solver (or an
 // ad-hoc -fallback chain) serves the augmentations, -deadline is the
 // default per-request solve deadline, and -cache sizes the solver-result
 // LRU.
@@ -67,7 +67,7 @@
 //
 // Selftest and replay. -requests, -wave, -dup-every, -release-every, -rho,
 // -chain-min, -chain-max, and -tenant-mix shape the generated stream;
-// -selftest-workers and -selftest-batchers the verified combinations.
+// -selftest-workers the verified worker counts.
 // -record writes a replayable trace, -replay verifies one (-replay-speed
 // paces it), -kill runs the durability drill. -chaos arms the failure
 // drill: -chaos-seed, -chaos-mtbf, -chaos-mttr, -chaos-degraded schedule
@@ -113,7 +113,6 @@ func main() {
 	batchSize := flag.Int("batch", 8, "micro-batch size B")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "micro-batch wait bound T")
 	workers := flag.Int("workers", 0, "solver workers per batch (0 = GOMAXPROCS)")
-	batchers := flag.Int("batchers", 1, "concurrent micro-batchers (batches execute speculatively and commit in admission order)")
 	solver := flag.String("solver", "Failsafe", "registered solver serving augmentations ("+strings.Join(core.Names(), ", ")+")")
 	fallbackSpec := flag.String("fallback", "", "serve through an ad-hoc fallback chain instead of -solver, e.g. \"ILP@50ms,Heuristic,Greedy\"")
 	admit := flag.String("admit", serve.AdmitRandom, "primary placement policy: random or maxrel")
@@ -129,16 +128,15 @@ func main() {
 	selftest := flag.Bool("selftest", false, "run the in-process load-generator selftest instead of serving")
 	requests := flag.Int("requests", 128, "selftest: requests per run")
 	selftestWorkers := flag.String("selftest-workers", "1,8", "selftest: comma-separated worker counts that must agree")
-	selftestBatchers := flag.String("selftest-batchers", "1,4", "selftest: comma-separated batcher counts that must agree")
 	wave := flag.Int("wave", 0, "selftest: submissions per wave (0 = queue depth)")
 	dupEvery := flag.Int("dup-every", 4, "selftest: duplicate every k-th request (cache exercise, 0 off)")
 	releaseEvery := flag.Int("release-every", 16, "selftest: release every k-th placement (0 off)")
 	rho := flag.Float64("rho", 0.95, "selftest: reliability expectation of generated requests")
 	chainMin := flag.Int("chain-min", 0, "selftest: minimum generated SFC length (0: loadgen default)")
 	chainMax := flag.Int("chain-max", 0, "selftest: maximum generated SFC length (0: loadgen default)")
-	kill := flag.Bool("kill", false, "selftest: run the first combination only, print the durable state line, then SIGKILL the process (requires -wal-dir)")
-	record := flag.String("record", "", "append every admitted request and release to this replayable trace file (in -selftest mode, the first combination is recorded)")
-	replay := flag.String("replay", "", "replay a recorded trace file through fresh services at every -selftest-workers × -selftest-batchers combination and verify bit-identity against its EOF trailer")
+	kill := flag.Bool("kill", false, "selftest: run the first worker count only, print the durable state line, then SIGKILL the process (requires -wal-dir)")
+	record := flag.String("record", "", "append every admitted request and release to this replayable trace file (in -selftest mode, the first worker count is recorded)")
+	replay := flag.String("replay", "", "replay a recorded trace file through fresh services at every -selftest-workers count and verify bit-identity against its EOF trailer")
 	replaySpeed := flag.Float64("replay-speed", 0, "replay pacing: 0 replays on the virtual clock (as fast as possible), 1 on the recorded timeline, 2 twice as fast")
 	traceSlow := flag.Duration("trace-slow", 0, "dump the span timeline of any request slower than this to the log (0: off)")
 	flight := flag.Int("flight", 256, "flight-recorder depth: completed request traces kept for /debug/traces (negative disables tracing)")
@@ -252,13 +250,12 @@ func main() {
 	if *selftest || *replay != "" {
 		probe = 0
 	}
-	newService := func(w, b int, dir string, restoreState bool, recordPath string) *serve.Service {
+	newService := func(w int, dir string, restoreState bool, recordPath string) *serve.Service {
 		svc, err := serve.New(buildNetwork(), serve.Options{
 			QueueDepth:        *queueDepth,
 			BatchSize:         *batchSize,
 			BatchWait:         *batchWait,
 			Workers:           w,
-			Batchers:          b,
 			Solver:            resolveSolver(),
 			HopBound:          *hopBound,
 			AdmitPolicy:       *admit,
@@ -295,7 +292,6 @@ func main() {
 			path:        *replay,
 			speed:       *replaySpeed,
 			workerSpec:  *selftestWorkers,
-			batcherSpec: *selftestBatchers,
 			wave:        *wave,
 			queueDepth:  *queueDepth,
 			seed:        *seed,
@@ -313,7 +309,6 @@ func main() {
 			buildNetwork: buildNetwork,
 			requests:     *requests,
 			workerSpec:   *selftestWorkers,
-			batcherSpec:  *selftestBatchers,
 			wave:         *wave,
 			queueDepth:   *queueDepth,
 			dupEvery:     *dupEvery,
@@ -338,7 +333,7 @@ func main() {
 		}))
 	}
 
-	svc := newService(*workers, *batchers, *walDir, *restore, *record)
+	svc := newService(*workers, *walDir, *restore, *record)
 	if *restore {
 		st := svc.State()
 		fmt.Printf("restored state: hash=%016x placed=%d epoch=%d\n", st.Hash(), st.PlacedCount(), st.Epoch())
@@ -350,7 +345,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	slog.Info("augmentd serving", "addr", *addr, "solver", svc.SolverName(),
 		"queue", *queueDepth, "batch", *batchSize, "batch_wait", *batchWait,
-		"batchers", *batchers, "wal_dir", *walDir)
+		"wal_dir", *walDir)
 	select {
 	case err := <-errCh:
 		fmt.Fprintf(os.Stderr, "augmentd: %v\n", err)
@@ -372,11 +367,10 @@ func main() {
 
 // selftestConfig gathers everything runSelftest needs from the flag set.
 type selftestConfig struct {
-	newService   func(workers, batchers int, walDir string, restore bool, recordPath string) *serve.Service
+	newService   func(workers int, walDir string, restore bool, recordPath string) *serve.Service
 	buildNetwork func() *mec.Network
 	requests     int
 	workerSpec   string
-	batcherSpec  string
 	wave         int
 	queueDepth   int
 	dupEvery     int
@@ -387,24 +381,23 @@ type selftestConfig struct {
 	seed         int64
 	walDir       string
 	kill         bool
-	recordPath   string // record the first combination's run to this trace file
+	recordPath   string // record the first worker count's run to this trace file
 	tenantMix    []loadgen.TenantShare
 	multiTenant  bool   // -tenants was set: print per-tenant accounting
 	admission    string // queue discipline; fifo carries the strict zero-drop bound
 	chaos        loadgen.ChaosConfig
 }
 
-// comboRun is one (workers, batchers) selftest execution.
-type comboRun struct {
-	workers  int
-	batchers int
-	result   *loadgen.Result
+// workerRun is one selftest or replay execution at one worker count.
+type workerRun struct {
+	workers int
+	result  *loadgen.Result
 }
 
-// runSelftest runs the deterministic load generator at every (workers,
-// batchers) combination against identically seeded fresh services and pins
-// that the placement logs agree, nothing was rejected below the queue bound,
-// and — when a WAL directory is set — that replaying each run's log rebuilds
+// runSelftest runs the deterministic load generator at every worker count
+// against identically seeded fresh services and pins that the placement logs
+// agree, nothing was rejected below the queue bound, and — when a WAL
+// directory is set — that replaying each run's log rebuilds
 // its exact final state. With chaos enabled it additionally pins bit-identical
 // chaos logs, replayed down sets, and zero silent SLO violations. Returns the
 // process exit code.
@@ -412,11 +405,6 @@ func runSelftest(cfg selftestConfig) int {
 	workerCounts, err := parseCounts(cfg.workerSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "augmentd: bad -selftest-workers %q\n", cfg.workerSpec)
-		return 2
-	}
-	batcherCounts, err := parseCounts(cfg.batcherSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "augmentd: bad -selftest-batchers %q\n", cfg.batcherSpec)
 		return 2
 	}
 	if cfg.kill && cfg.walDir == "" {
@@ -445,111 +433,109 @@ func runSelftest(cfg selftestConfig) int {
 	}
 
 	var refLog, refChaos string
-	var runs []comboRun
+	var runs []workerRun
 	ok := true
 	for _, w := range workerCounts {
-		for _, b := range batcherCounts {
-			dir := ""
-			if cfg.walDir != "" {
-				if cfg.kill {
-					dir = cfg.walDir // single run writes the root log the restore check reads
-				} else {
-					dir = filepath.Join(cfg.walDir, fmt.Sprintf("run-w%d-b%d", w, b))
-				}
+		dir := ""
+		if cfg.walDir != "" {
+			if cfg.kill {
+				dir = cfg.walDir // single run writes the root log the restore check reads
+			} else {
+				dir = filepath.Join(cfg.walDir, fmt.Sprintf("run-w%d", w))
 			}
-			recordPath := ""
-			if cfg.recordPath != "" && len(runs) == 0 {
-				recordPath = cfg.recordPath
+		}
+		recordPath := ""
+		if cfg.recordPath != "" && len(runs) == 0 {
+			recordPath = cfg.recordPath
+		}
+		svc := cfg.newService(w, dir, false, recordPath)
+		res, err := loadgen.Run(svc, lcfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: %v\n", w, err)
+			return 1
+		}
+		svc.Drain()
+		p50, p99, p999 := latencyQuantiles(res.Records)
+		fmt.Printf("selftest workers=%d: %d requests in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d (quota=%d) shed=%d deadline=%d released=%d cache_hits=%d p50=%v p99=%v p999=%v\n",
+			w, len(res.Records), res.Elapsed.Round(time.Millisecond), res.Throughput,
+			res.Admitted, res.Infeasible, res.Rejected, res.Quota, res.Shed, res.Deadline, res.Released, res.CacheHits,
+			p50.Round(time.Microsecond), p99.Round(time.Microsecond), p999.Round(time.Microsecond))
+		// Quota denials are intentional admission economics, not queue
+		// overflow, and under fair or knapsack admission a wave may
+		// overflow one tenant's fair-share sub-queue while the global
+		// queue still has room — those rejections are the discipline
+		// working, and the placement-log comparison still pins them
+		// bit-identical across worker counts. The strict zero-drop bound
+		// is a fifo-admission invariant.
+		if cfg.admission == serve.AdmissionFIFO && res.Rejected-res.Quota != 0 {
+			fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: %d requests rejected below the queue bound\n", w, res.Rejected-res.Quota)
+			ok = false
+		}
+		if cfg.multiTenant {
+			for _, row := range svc.TenantStats().Tenants {
+				fmt.Printf("tenant %s workers=%d: weight=%g admitted=%d rejected_quota=%d rejected_queue=%d shed=%d infeasible=%d weighted_log_gain=%.6f\n",
+					row.Name, w, row.Weight, row.Admitted, row.RejectedQuota,
+					row.RejectedQueue, row.Shed, row.Infeasible, row.WeightedLogGain)
 			}
-			svc := cfg.newService(w, b, dir, false, recordPath)
-			res, err := loadgen.Run(svc, lcfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: %v\n", w, b, err)
+		}
+		if cfg.chaos.Enabled {
+			fmt.Printf("chaos workers=%d: events=%d destroyed=%d reaug attempted=%d restored=%d degraded=%d lost=%d pending=%d\n",
+				w, res.NodeEvents, res.InstancesDestroyed, res.ReaugAttempted,
+				res.ReaugRestored, res.ReaugDegraded, res.ReaugLost, svc.ReaugPending())
+			// The self-healing contract: every placement still below its
+			// expectation must carry an active alert — no silent violations.
+			if silent := svc.SilentViolations(); len(silent) > 0 {
+				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: %d SILENT SLO violations (sessions %v)\n", w, len(silent), silent)
+				ok = false
+			}
+		}
+		hash, placed := svc.State().Hash(), svc.State().PlacedCount()
+		downLive := fmt.Sprint(svc.State().DownNodes())
+		if dir != "" {
+			// Kill/restore contract, in-process: replaying the run's WAL
+			// against a same-seed network reproduces the exact state —
+			// including which cloudlets were down at the cut.
+			st, err := serve.NewStateFromWAL(cfg.buildNetwork(), dir)
+			switch {
+			case err != nil:
+				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: WAL replay: %v\n", w, err)
+				ok = false
+			case st.Hash() != hash || st.PlacedCount() != placed:
+				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: WAL replay state hash=%016x placed=%d, live hash=%016x placed=%d\n",
+					w, st.Hash(), st.PlacedCount(), hash, placed)
+				ok = false
+			case fmt.Sprint(st.DownNodes()) != downLive:
+				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d: WAL replay down set %v, live %s\n",
+					w, st.DownNodes(), downLive)
+				ok = false
+			}
+		}
+		log := res.PlacementLog()
+		if len(runs) == 0 {
+			refLog = log
+			refChaos = res.ChaosLog()
+		} else if log != refLog {
+			fmt.Fprintf(os.Stderr, "augmentd: selftest DETERMINISM FAILURE: workers=%d placement log differs from workers=%d\n%s",
+				w, runs[0].workers, firstDiff(refLog, log))
+			ok = false
+		} else if cl := res.ChaosLog(); cl != refChaos {
+			fmt.Fprintf(os.Stderr, "augmentd: selftest DETERMINISM FAILURE: workers=%d chaos log differs from workers=%d\n%s",
+				w, runs[0].workers, firstDiff(refChaos, cl))
+			ok = false
+		}
+		runs = append(runs, workerRun{workers: w, result: res})
+		if err := svc.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "augmentd: selftest close: %v\n", err)
+			ok = false
+		}
+		if cfg.kill {
+			if !ok {
+				fmt.Println("selftest FAILED")
 				return 1
 			}
-			svc.Drain()
-			p50, p99, p999 := latencyQuantiles(res.Records)
-			fmt.Printf("selftest workers=%d batchers=%d: %d requests in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d (quota=%d) shed=%d deadline=%d released=%d cache_hits=%d p50=%v p99=%v p999=%v\n",
-				w, b, len(res.Records), res.Elapsed.Round(time.Millisecond), res.Throughput,
-				res.Admitted, res.Infeasible, res.Rejected, res.Quota, res.Shed, res.Deadline, res.Released, res.CacheHits,
-				p50.Round(time.Microsecond), p99.Round(time.Microsecond), p999.Round(time.Microsecond))
-			// Quota denials are intentional admission economics, not queue
-			// overflow, and under fair or knapsack admission a wave may
-			// overflow one tenant's fair-share sub-queue while the global
-			// queue still has room — those rejections are the discipline
-			// working, and the placement-log comparison still pins them
-			// bit-identical across combinations. The strict zero-drop bound
-			// is a fifo-admission invariant.
-			if cfg.admission == serve.AdmissionFIFO && res.Rejected-res.Quota != 0 {
-				fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: %d requests rejected below the queue bound\n", w, b, res.Rejected-res.Quota)
-				ok = false
-			}
-			if cfg.multiTenant {
-				for _, row := range svc.TenantStats().Tenants {
-					fmt.Printf("tenant %s workers=%d batchers=%d: weight=%g admitted=%d rejected_quota=%d rejected_queue=%d shed=%d infeasible=%d weighted_log_gain=%.6f\n",
-						row.Name, w, b, row.Weight, row.Admitted, row.RejectedQuota,
-						row.RejectedQueue, row.Shed, row.Infeasible, row.WeightedLogGain)
-				}
-			}
-			if cfg.chaos.Enabled {
-				fmt.Printf("chaos workers=%d batchers=%d: events=%d destroyed=%d reaug attempted=%d restored=%d degraded=%d lost=%d pending=%d\n",
-					w, b, res.NodeEvents, res.InstancesDestroyed, res.ReaugAttempted,
-					res.ReaugRestored, res.ReaugDegraded, res.ReaugLost, svc.ReaugPending())
-				// The self-healing contract: every placement still below its
-				// expectation must carry an active alert — no silent violations.
-				if silent := svc.SilentViolations(); len(silent) > 0 {
-					fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: %d SILENT SLO violations (sessions %v)\n", w, b, len(silent), silent)
-					ok = false
-				}
-			}
-			hash, placed := svc.State().Hash(), svc.State().PlacedCount()
-			downLive := fmt.Sprint(svc.State().DownNodes())
-			if dir != "" {
-				// Kill/restore contract, in-process: replaying the run's WAL
-				// against a same-seed network reproduces the exact state —
-				// including which cloudlets were down at the cut.
-				st, err := serve.NewStateFromWAL(cfg.buildNetwork(), dir)
-				switch {
-				case err != nil:
-					fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: WAL replay: %v\n", w, b, err)
-					ok = false
-				case st.Hash() != hash || st.PlacedCount() != placed:
-					fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: WAL replay state hash=%016x placed=%d, live hash=%016x placed=%d\n",
-						w, b, st.Hash(), st.PlacedCount(), hash, placed)
-					ok = false
-				case fmt.Sprint(st.DownNodes()) != downLive:
-					fmt.Fprintf(os.Stderr, "augmentd: selftest workers=%d batchers=%d: WAL replay down set %v, live %s\n",
-						w, b, st.DownNodes(), downLive)
-					ok = false
-				}
-			}
-			log := res.PlacementLog()
-			if len(runs) == 0 {
-				refLog = log
-				refChaos = res.ChaosLog()
-			} else if log != refLog {
-				fmt.Fprintf(os.Stderr, "augmentd: selftest DETERMINISM FAILURE: workers=%d batchers=%d placement log differs from workers=%d batchers=%d\n%s",
-					w, b, runs[0].workers, runs[0].batchers, firstDiff(refLog, log))
-				ok = false
-			} else if cl := res.ChaosLog(); cl != refChaos {
-				fmt.Fprintf(os.Stderr, "augmentd: selftest DETERMINISM FAILURE: workers=%d batchers=%d chaos log differs from workers=%d batchers=%d\n%s",
-					w, b, runs[0].workers, runs[0].batchers, firstDiff(refChaos, cl))
-				ok = false
-			}
-			runs = append(runs, comboRun{workers: w, batchers: b, result: res})
-			if err := svc.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "augmentd: selftest close: %v\n", err)
-				ok = false
-			}
-			if cfg.kill {
-				if !ok {
-					fmt.Println("selftest FAILED")
-					return 1
-				}
-				fmt.Printf("selftest state: hash=%016x placed=%d\n", hash, placed)
-				os.Stdout.Sync()
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
+			fmt.Printf("selftest state: hash=%016x placed=%d\n", hash, placed)
+			os.Stdout.Sync()
+			syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		}
 	}
 	if !ok {
@@ -557,19 +543,18 @@ func runSelftest(cfg selftestConfig) int {
 		return 1
 	}
 	// `go test -bench`-style lines so cmd/benchdiff -parse can record the
-	// selftest throughput per combination (make bench-serve → BENCH_pr6.json).
+	// selftest throughput per worker count (make bench-serve).
 	for _, r := range runs {
 		nsPerOp := float64(r.result.Elapsed.Nanoseconds()) / float64(cfg.requests)
-		fmt.Printf("BenchmarkAugmentdSelftest/workers=%d/batchers=%d\t%d\t%.0f ns/op\n",
-			r.workers, r.batchers, cfg.requests, nsPerOp)
+		fmt.Printf("BenchmarkAugmentdSelftest/workers=%d\t%d\t%.0f ns/op\n",
+			r.workers, cfg.requests, nsPerOp)
 	}
-	printScaling(runs)
 	if cfg.chaos.Enabled {
 		r := runs[0].result
 		fmt.Printf("chaos drill OK: %d node events, reaug attempted=%d restored=%d degraded=%d lost=%d, zero silent violations\n",
 			r.NodeEvents, r.ReaugAttempted, r.ReaugRestored, r.ReaugDegraded, r.ReaugLost)
 	}
-	fmt.Printf("selftest OK: %d combinations agree on %d placements\n", len(runs), runs[0].result.Admitted)
+	fmt.Printf("selftest OK: %d worker counts agree on %d placements\n", len(runs), runs[0].result.Admitted)
 	return 0
 }
 
@@ -596,11 +581,10 @@ func latencyQuantiles(records []loadgen.Record) (p50, p99, p999 time.Duration) {
 
 // replayConfig gathers everything runReplay needs from the flag set.
 type replayConfig struct {
-	newService  func(workers, batchers int, walDir string, restore bool, recordPath string) *serve.Service
+	newService  func(workers int, walDir string, restore bool, recordPath string) *serve.Service
 	path        string
 	speed       float64
 	workerSpec  string
-	batcherSpec string
 	wave        int
 	queueDepth  int
 	seed        int64
@@ -612,9 +596,9 @@ type replayConfig struct {
 }
 
 // runReplay drives a recorded request trace through fresh services at every
-// (workers, batchers) combination and pins bit-identity: each combination
-// must reproduce the trace's EOF state hash and placement count, and all
-// combinations must agree on the full placement log. Returns the process
+// worker count and pins bit-identity: each run must reproduce the trace's EOF
+// state hash and placement count, and all runs must agree on the full
+// placement log. Returns the process
 // exit code.
 func runReplay(cfg replayConfig) int {
 	meta, ops, eof, err := serve.ReadTrace(cfg.path)
@@ -653,11 +637,6 @@ func runReplay(cfg replayConfig) int {
 		fmt.Fprintf(os.Stderr, "augmentd: bad -selftest-workers %q\n", cfg.workerSpec)
 		return 2
 	}
-	batcherCounts, err := parseCounts(cfg.batcherSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "augmentd: bad -selftest-batchers %q\n", cfg.batcherSpec)
-		return 2
-	}
 	wave := cfg.wave
 	if wave <= 0 {
 		wave = cfg.queueDepth
@@ -677,47 +656,45 @@ func runReplay(cfg replayConfig) int {
 	fmt.Println()
 
 	var refLog string
-	var runs []comboRun
+	var runs []workerRun
 	ok := true
 	for _, w := range workerCounts {
-		for _, b := range batcherCounts {
-			svc := cfg.newService(w, b, "", false, "")
-			var clock loadgen.Clock
-			if cfg.speed > 0 {
-				clock = loadgen.NewWallClock(cfg.speed)
-			}
-			res, err := loadgen.Replay(svc, ops, loadgen.ReplayConfig{WaveSize: wave, Clock: clock})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "augmentd: replay workers=%d batchers=%d: %v\n", w, b, err)
-				return 1
-			}
-			svc.Drain()
-			hash, placed := svc.State().Hash(), svc.State().PlacedCount()
-			p50, p99, p999 := latencyQuantiles(res.Records)
-			fmt.Printf("replay workers=%d batchers=%d: %d ops in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d released=%d hash=%016x placed=%d p50=%v p99=%v p999=%v\n",
-				w, b, len(ops), res.Elapsed.Round(time.Millisecond), res.Throughput,
-				res.Admitted, res.Infeasible, res.Rejected, res.Released, hash, placed,
-				p50.Round(time.Microsecond), p99.Round(time.Microsecond), p999.Round(time.Microsecond))
-			if eof != nil {
-				if got := fmt.Sprintf("%016x", hash); got != eof.Hash || placed != eof.Placed {
-					fmt.Fprintf(os.Stderr, "augmentd: replay DIVERGENCE workers=%d batchers=%d: hash=%s placed=%d, recorded hash=%s placed=%d\n",
-						w, b, got, placed, eof.Hash, eof.Placed)
-					ok = false
-				}
-			}
-			log := res.PlacementLog()
-			if len(runs) == 0 {
-				refLog = log
-			} else if log != refLog {
-				fmt.Fprintf(os.Stderr, "augmentd: replay DETERMINISM FAILURE: workers=%d batchers=%d placement log differs from workers=%d batchers=%d\n%s",
-					w, b, runs[0].workers, runs[0].batchers, firstDiff(refLog, log))
+		svc := cfg.newService(w, "", false, "")
+		var clock loadgen.Clock
+		if cfg.speed > 0 {
+			clock = loadgen.NewWallClock(cfg.speed)
+		}
+		res, err := loadgen.Replay(svc, ops, loadgen.ReplayConfig{WaveSize: wave, Clock: clock})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "augmentd: replay workers=%d: %v\n", w, err)
+			return 1
+		}
+		svc.Drain()
+		hash, placed := svc.State().Hash(), svc.State().PlacedCount()
+		p50, p99, p999 := latencyQuantiles(res.Records)
+		fmt.Printf("replay workers=%d: %d ops in %v (%.0f req/s), admitted=%d infeasible=%d rejected=%d released=%d hash=%016x placed=%d p50=%v p99=%v p999=%v\n",
+			w, len(ops), res.Elapsed.Round(time.Millisecond), res.Throughput,
+			res.Admitted, res.Infeasible, res.Rejected, res.Released, hash, placed,
+			p50.Round(time.Microsecond), p99.Round(time.Microsecond), p999.Round(time.Microsecond))
+		if eof != nil {
+			if got := fmt.Sprintf("%016x", hash); got != eof.Hash || placed != eof.Placed {
+				fmt.Fprintf(os.Stderr, "augmentd: replay DIVERGENCE workers=%d: hash=%s placed=%d, recorded hash=%s placed=%d\n",
+					w, got, placed, eof.Hash, eof.Placed)
 				ok = false
 			}
-			runs = append(runs, comboRun{workers: w, batchers: b, result: res})
-			if err := svc.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "augmentd: replay close: %v\n", err)
-				ok = false
-			}
+		}
+		log := res.PlacementLog()
+		if len(runs) == 0 {
+			refLog = log
+		} else if log != refLog {
+			fmt.Fprintf(os.Stderr, "augmentd: replay DETERMINISM FAILURE: workers=%d placement log differs from workers=%d\n%s",
+				w, runs[0].workers, firstDiff(refLog, log))
+			ok = false
+		}
+		runs = append(runs, workerRun{workers: w, result: res})
+		if err := svc.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "augmentd: replay close: %v\n", err)
+			ok = false
 		}
 	}
 	if !ok {
@@ -726,39 +703,11 @@ func runReplay(cfg replayConfig) int {
 	}
 	for _, r := range runs {
 		nsPerOp := float64(r.result.Elapsed.Nanoseconds()) / float64(max(augments, 1))
-		fmt.Printf("BenchmarkAugmentdReplay/workers=%d/batchers=%d\t%d\t%.0f ns/op\n",
-			r.workers, r.batchers, augments, nsPerOp)
+		fmt.Printf("BenchmarkAugmentdReplay/workers=%d\t%d\t%.0f ns/op\n",
+			r.workers, augments, nsPerOp)
 	}
-	fmt.Printf("replay OK: %d combinations reproduced %d placements bit-identically\n", len(runs), runs[0].result.Admitted)
+	fmt.Printf("replay OK: %d worker counts reproduced %d placements bit-identically\n", len(runs), runs[0].result.Admitted)
 	return 0
-}
-
-// printScaling reports batch-throughput scaling per worker count: the
-// highest batcher count's throughput relative to one batcher's.
-func printScaling(runs []comboRun) {
-	base := make(map[int]*comboRun)
-	best := make(map[int]*comboRun)
-	for i := range runs {
-		r := &runs[i]
-		if r.batchers == 1 {
-			base[r.workers] = r
-		}
-		if b, ok := best[r.workers]; !ok || r.batchers > b.batchers {
-			best[r.workers] = r
-		}
-	}
-	for _, r := range runs {
-		if r.batchers != 1 {
-			continue
-		}
-		b, ok := best[r.workers]
-		if !ok || b.batchers == 1 || r.result.Throughput == 0 {
-			continue
-		}
-		fmt.Printf("batcher scaling workers=%d: %d batchers = %.2fx vs 1 (%.0f vs %.0f req/s)\n",
-			r.workers, b.batchers, b.result.Throughput/r.result.Throughput,
-			b.result.Throughput, r.result.Throughput)
-	}
 }
 
 // parseCounts parses a comma-separated list of positive ints.

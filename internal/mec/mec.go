@@ -118,7 +118,8 @@ func NewNetwork(g *graph.Graph, capacity []float64, catalog *Catalog) *Network {
 // topology, total capacities, function catalog, and neighborhood memo with n,
 // but owns a private residual ledger initialized from res (copied). Mutating
 // the fork's residuals never touches n or any sibling fork, which is what
-// lets a micro-batcher place and commit speculatively with no lock held.
+// lets the serving layer execute a whole batch on a private ledger while
+// readers keep the published one.
 // Callers must not mutate the shared Capacity slice.
 func (n *Network) Fork(res []float64) *Network {
 	if len(res) != len(n.residual) {

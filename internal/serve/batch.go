@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -66,12 +63,12 @@ type outcome struct {
 	trace      *trace.Snapshot
 }
 
-// queue is the bounded admission queue plus its micro-batching machinery: a
-// single dispatcher that forms batches (preserving PR 5's size/latency
-// bounds) and stamps them with a dense batch sequence number, and N batcher
-// goroutines that execute batches concurrently against pinned epochs. The
-// commit gate reimposes the batch sequence at install time, so batch k+1's
-// effects land after batch k's no matter which batcher was faster.
+// queue is the bounded admission queue plus its single sequencer: one
+// dispatcher goroutine that forms micro-batches (bounded by BatchSize and
+// BatchWait) and executes each one itself, in admission order, against the
+// live epoch. Batch k+1 is formed only after batch k has installed, flushed
+// its WAL entry, and answered its requests, so the queue's backpressure bound
+// is exactly QueueDepth — requests never sit hidden in a dispatch pipeline.
 //
 // The queue itself is a tenant-aware admission.FairQueue behind one mutex:
 // FIFO discipline preserves global arrival order exactly; fair/knapsack run
@@ -86,49 +83,18 @@ type queue struct {
 	mu       sync.Mutex
 	fq       *admission.FairQueue[*pending]
 	notEmpty chan struct{}
-	jobs     chan *batchJob
-	// slots holds one token per idle batcher: the dispatcher takes a token
-	// before forming a batch and the batcher returns it after committing.
-	// This keeps the queue's backpressure bound exactly at QueueDepth —
-	// requests never sit hidden in a dispatch pipeline — and makes a
-	// single-batcher service behave precisely like the pre-MVCC design.
-	slots chan struct{}
-	gate  commitGate
-	// speculate steers adaptive speculation: true after an identity commit
-	// (the next batch's lock-free execution would be valid), false after an
-	// install (it would be stale, so batchers execute inside the gate and
-	// save the wasted solve). Purely a performance hint — committed results
-	// are identical either way.
-	speculate atomic.Bool
-	draining  atomic.Bool
-	stopCh    chan struct{}
-	doneCh    chan struct{}
-	wg        sync.WaitGroup
-	batchSeq  uint64 // dispatcher-private; dense from 1
+	draining atomic.Bool
+	stopCh   chan struct{}
+	doneCh   chan struct{}
 }
 
-func newQueue(svc *Service, depth, batchers int) *queue {
+func newQueue(svc *Service, depth int) *queue {
 	q := &queue{
 		svc:      svc,
 		fq:       admission.NewFairQueue[*pending](svc.tenantSpecs(), depth, svc.opt.Admission != AdmissionFIFO),
 		notEmpty: make(chan struct{}, 1),
-		jobs:     make(chan *batchJob),
-		slots:    make(chan struct{}, batchers),
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
-	}
-	q.gate.init()
-	q.speculate.Store(true)
-	q.wg.Add(batchers)
-	for i := 0; i < batchers; i++ {
-		q.slots <- struct{}{}
-		go func() {
-			defer q.wg.Done()
-			for job := range q.jobs {
-				svc.processJob(job)
-				q.slots <- struct{}{}
-			}
-		}()
 	}
 	go q.run()
 	return q
@@ -226,7 +192,7 @@ func (q *queue) popWait() (*pending, bool) {
 }
 
 // Drain stops accepting new requests, flushes every request already queued
-// through the normal batch path, and returns when every batcher has exited.
+// through the normal batch path, and returns when the dispatcher has exited.
 // Safe to call more than once.
 func (q *queue) Drain() {
 	if q.draining.CompareAndSwap(false, true) {
@@ -235,48 +201,34 @@ func (q *queue) Drain() {
 	<-q.doneCh
 }
 
-// run is the dispatcher: collect up to BatchSize requests or wait at most
-// BatchWait after the first, then hand the batch to the batcher pool. On
-// drain it flushes the queue in full batches without waiting on the timer,
-// then closes the pool and waits for in-flight batches to commit.
+// run is the sequencer: collect up to BatchSize requests or wait at most
+// BatchWait after the first, then execute and commit the batch before forming
+// the next. On drain it serves what is left in the queue in full batches
+// without waiting on the timer.
 func (q *queue) run() {
 	defer close(q.doneCh)
 	for {
-		<-q.slots // wait for an idle batcher before forming a batch
 		first, ok := q.popWait()
 		if !ok {
-			q.slots <- struct{}{}
-			q.flush()
-			return
+			break
 		}
-		q.dispatchFrom(first, false)
+		q.svc.processJob(q.collect(first, false))
 	}
-}
-
-// flush serves every request that made it into the queue before the drain
-// flag flipped, then shuts the batcher pool down and waits for the last
-// batch to commit.
-func (q *queue) flush() {
 	for {
-		p, ok := q.tryPop()
+		first, ok := q.tryPop()
 		if !ok {
-			close(q.jobs)
-			q.wg.Wait()
 			return
 		}
-		<-q.slots
-		q.dispatchFrom(p, true)
+		q.svc.processJob(q.collect(first, true))
 	}
 }
 
-// dispatchFrom collects a batch starting at first and sends it to the
-// batcher pool (blocking when all batchers are busy — the dispatcher is the
-// pool's backpressure). When draining, only immediately available requests
-// join (no timer wait). Under the knapsack discipline the dispatcher collects
-// a wider window (Options.KnapsackWindow) so the scarcity-mode knapsack has a
-// meaningful candidate set to choose from; the solve still covers only the
-// admitted subset.
-func (q *queue) dispatchFrom(first *pending, draining bool) {
+// collect forms a batch starting at first. When draining, only immediately
+// available requests join (no timer wait). Under the knapsack discipline the
+// batch is a wider window (Options.KnapsackWindow) so the scarcity-mode
+// knapsack has a meaningful candidate set to choose from; the solve still
+// covers only the admitted subset.
+func (q *queue) collect(first *pending, draining bool) *batchJob {
 	batch := []*pending{first}
 	maxB := q.svc.opt.BatchSize
 	if q.svc.opt.Admission == AdmissionKnapsack {
@@ -312,101 +264,18 @@ func (q *queue) dispatchFrom(first *pending, draining bool) {
 	q.mu.Unlock()
 	metrics.queueDepth.Set(float64(depth))
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	q.batchSeq++
-	q.jobs <- &batchJob{
-		seq:    q.batchSeq,
-		batch:  batch,
-		pickup: time.Now(),
-	}
+	return &batchJob{batch: batch, pickup: time.Now()}
 }
 
-// commitGate serializes batch installs in batch-sequence order: a batcher
-// that finished executing batch k+1 parks in enter until batch k has left.
-// This is what makes the installed epoch sequence — and therefore every
-// placement — independent of which batcher ran faster. Waiters park on a
-// per-sequence channel, so leave wakes exactly the successor instead of
-// broadcasting to the whole pool — on one core the spurious wakeups of a
-// broadcast are whole context switches.
-type commitGate struct {
-	mu      sync.Mutex
-	next    uint64
-	waiters map[uint64]chan struct{}
-}
-
-func (g *commitGate) init() {
-	g.next = 1
-	g.waiters = make(map[uint64]chan struct{})
-}
-
-// enter blocks until it is seq's turn to commit.
-func (g *commitGate) enter(seq uint64) {
-	g.mu.Lock()
-	if g.next == seq {
-		g.mu.Unlock()
-		return
-	}
-	ch := make(chan struct{})
-	g.waiters[seq] = ch
-	g.mu.Unlock()
-	<-ch
-}
-
-// leave passes the turn to the next batch sequence number, waking its
-// batcher if it is already parked.
-func (g *commitGate) leave() {
-	g.mu.Lock()
-	g.next++
-	if ch, ok := g.waiters[g.next]; ok {
-		delete(g.waiters, g.next)
-		close(ch)
-	}
-	g.mu.Unlock()
-}
-
-// batchJob is one dispatched micro-batch: its commit-order slot, its
-// requests in admission-sequence order, and the solve memo that carries
-// results across a speculative execution and a post-conflict re-execution.
-// The memo map is allocated on first write — most jobs commit on their
-// first execution and never populate it past the initial solves.
+// batchJob is one micro-batch: its requests in admission-sequence order and
+// the stage boundaries stamped by processJob for the batch's trace spans —
+// the commitMu wait and (when a WAL flush happened) the fsync wait.
 type batchJob struct {
-	seq    uint64
-	batch  []*pending
-	pickup time.Time
-	memo   map[memoKey]memoVal
-
-	// Stage boundaries stamped by processJob for the batch's trace spans:
-	// the commit-gate wait and (when a WAL flush happened) the fsync wait.
+	batch                []*pending
+	pickup               time.Time
 	gateStart, gateEnd   time.Time
 	fsyncStart, fsyncEnd time.Time
 	fsynced              bool
-}
-
-// memoPut records a solver outcome, allocating the memo lazily.
-func (j *batchJob) memoPut(k memoKey, v memoVal) {
-	if j.memo == nil {
-		j.memo = make(map[memoKey]memoVal)
-	}
-	j.memo[k] = v
-}
-
-// memoKey identifies one solver invocation within a job: the request's
-// admission sequence, the attempt number (0 = first solve, 1 = the
-// conflict re-solve), and the instance signature it ran against. Keying on
-// the signature makes reuse sound: an identical key proves the solver would
-// see a bit-identical instance with an identical seed, and solver outcomes
-// are pure functions of (instance, seed).
-type memoKey struct {
-	seq     int
-	attempt int
-	inst    uint64
-}
-
-// memoVal is a memoized solver outcome (exactly one field is set, matching
-// the fail-soft engine's result/error split; both nil records a conflict
-// re-solve that errored).
-type memoVal struct {
-	res      *core.Result
-	trialErr *engine.TrialError
 }
 
 // admitSeedStep and solveSeedStep decorrelate the per-request admission and
@@ -423,13 +292,11 @@ func (s *Service) solveSeed(seq int) int64 { return s.opt.Seed + int64(seq)*solv
 // seededRand returns a *rand.Rand over core.CheapSource: bit-identical for
 // a given seed everywhere, and cheap enough to build per request per batch
 // execution (profiling showed the stdlib source's ~10µs table warmup
-// dominated admission, re-paid serially under commitMu on every stale
-// re-execution).
+// dominated admission, which runs serially under commitMu).
 func seededRand(seed int64) *rand.Rand { return rand.New(core.CheapSource(seed)) }
 
 // batchItem carries one request through the three phases of one batch
-// execution. Items are rebuilt from scratch on re-execution (only the memo
-// survives): every field below is a function of the epoch the execution ran
+// execution: every field below is a function of the epoch the execution ran
 // against.
 type batchItem struct {
 	p         *pending
@@ -445,7 +312,6 @@ type batchItem struct {
 	res       *core.Result
 	trialErr  *engine.TrialError
 
-	memoHit         bool // solver call skipped via the per-job memo
 	conflictResolve bool // commit conflict forced a serial re-solve
 }
 
@@ -464,79 +330,37 @@ type batchExec struct {
 	solveTime time.Duration
 
 	// Phase boundaries of this execution (start → solveStart → solveEnd →
-	// end) plus the execution kind (execSpeculative/execGated/execReexec) —
-	// the trace spans' raw material, stamped once per batch.
+	// end) — the trace spans' raw material, stamped once per batch.
 	start      time.Time
 	solveStart time.Time
 	solveEnd   time.Time
 	end        time.Time
-	kind       string
 }
 
-// Batch execution kinds, annotated on every request's exec span.
-const (
-	execSpeculative = "speculative" // lock-free run against a pinned epoch
-	execGated       = "gated"       // in-gate run (speculation predicted stale)
-	execReexec      = "re-exec"     // in-gate rerun after a stale speculation
-)
-
-// processJob runs one batch speculatively and commits it in batch-sequence
-// order — the MVCC core:
+// processJob executes one batch and commits it — the sequencer's step:
 //
-//  1. Pin the current epoch and execute the batch against it with no lock
-//     held (admissions, solves, within-batch commits all happen on a private
-//     copy-on-write fork). When the previous batch installed a new epoch the
-//     speculation would be doomed, so the batcher skips it and executes
-//     inside the gate instead (adaptive speculation — a pure performance
-//     heuristic, invisible in the committed results).
-//  2. Enter the commit gate (total order by batch sequence) and take the
-//     install lock. If the live epoch still hashes like the pinned one, the
-//     speculative execution is valid verbatim — batch execution is a pure
-//     function of the residual vector. Otherwise some earlier batch or a
-//     release moved the ledger: re-execute against the live epoch (the
-//     cross-batch generalization of the one-serial-re-solve rule), reusing
-//     memoized solver results for every item whose instance is unchanged.
-//  3. Install the successor epoch (visible immediately), leave the gate so
-//     the next batch can execute and commit, then perform this batch's WAL
-//     fsync and answer its requests. Group commit: the next batch's solve
-//     overlaps this batch's durability I/O, but no client sees a response
-//     before its epoch is on disk.
+//  1. Take commitMu (the only writer lock: releases and health transitions
+//     take it too) and execute the batch against the live epoch. Admissions,
+//     solves and within-batch commits all happen on a private copy-on-write
+//     fork, so readers keep pinning the published epoch lock-free.
+//  2. Install the successor epoch (visible immediately) and unlock.
+//  3. Perform this batch's WAL flush, then answer its requests: no client
+//     sees a response before its epoch is on disk.
 //
 // Determinism: the installed transition for batch k is always
 // f(epoch_{k-1}, batch_k) with f deterministic, so the epoch sequence — and
-// every placement — is bit-identical at any worker and batcher count.
+// every placement — is bit-identical at any worker count.
 func (s *Service) processJob(job *batchJob) {
 	metrics.batches.Inc()
 	metrics.batchSize.Observe(float64(len(job.batch)))
-	var exec *batchExec
-	var baseHash uint64
-	if s.queue.speculate.Load() {
-		base := s.state.pin()
-		exec = s.executeBatch(base, job, execSpeculative)
-		baseHash = base.hash
-	} else {
-		metrics.specSkipped.Inc()
-	}
-
 	job.gateStart = time.Now()
-	s.queue.gate.enter(job.seq)
 	s.state.commitMu.Lock()
 	job.gateEnd = time.Now()
 	metrics.stageGate.Observe(job.gateEnd.Sub(job.gateStart))
 	live := s.state.pin()
-	if exec == nil || live.hash != baseHash {
-		kind := execGated
-		if exec != nil {
-			metrics.specStale.Inc()
-			kind = execReexec
-		}
-		exec = s.executeBatch(live, job, kind)
-	} else {
-		metrics.specValid.Inc()
-	}
-	ticket := s.installBatchLocked(live, job, exec)
+	exec := s.executeBatch(live, job)
+	ticket := s.installBatchLocked(live, exec)
 	s.state.commitMu.Unlock()
-	s.queue.gate.leave()
 	job.fsyncStart = time.Now()
 	s.state.flushWAL(ticket)
 	if job.fsynced = ticket != nil; job.fsynced {
@@ -548,27 +372,22 @@ func (s *Service) processJob(job *batchJob) {
 
 // installBatchLocked publishes a batch execution: advances the epoch (unless
 // the batch admitted nothing and left the ledger bit-identical — the common
-// all-infeasible case, which deliberately skips the epoch bump so trailing
-// speculations stay valid) and returns the install's durability ticket (nil
-// for identity transitions or without a WAL). It also steers adaptive
-// speculation: after an identity commit the next batch's speculation would
-// be valid, after an install it would be stale. Callers hold commitMu and
-// the commit gate, and must flushWAL the ticket before delivering outcomes.
-func (s *Service) installBatchLocked(live *epochLedger, job *batchJob, exec *batchExec) *walTicket {
-	var ticket *walTicket
-	identity := len(exec.admits) == 0 && exec.hash == live.hash
-	if !identity {
-		ticket = s.state.installLocked(exec.res, exec.hash, installOp{admits: exec.admits})
-	}
-	s.queue.speculate.Store(identity)
+// all-infeasible case, which skips the epoch bump and its WAL entry) and
+// returns the install's durability ticket (nil for identity transitions or
+// without a WAL). Callers hold commitMu and must flushWAL the ticket before
+// delivering outcomes.
+func (s *Service) installBatchLocked(live *epochLedger, exec *batchExec) *walTicket {
 	metrics.conflicts.Add(exec.conflicts)
-	return ticket
+	if len(exec.admits) == 0 && exec.hash == live.hash {
+		return nil
+	}
+	return s.state.installLocked(exec.res, exec.hash, installOp{admits: exec.admits})
 }
 
 // deliverOutcomes answers every request of a committed batch. Runs after the
 // batch's WAL flush (clients never observe a non-durable admission) and
-// outside the gate, so the next batch commits while these channel sends wake
-// their waiters. Each request's trace is completed, snapshotted into the
+// outside commitMu, so releases and health transitions are not held up by
+// these channel sends. Each request's trace is completed, snapshotted into the
 // flight recorder, and (above the slow threshold) dumped — all before the
 // done send, whose channel synchronization publishes the trace to the waiter.
 func (s *Service) deliverOutcomes(job *batchJob, exec *batchExec) {
@@ -619,7 +438,6 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 	tr := p.tr
 	tr.EndSpanAt(p.queueSpan, job.pickup)
 	ex := tr.StartSpanAt("exec", trace.Root, exec.start)
-	tr.Annotate(ex, exec.kind)
 	admit := tr.StartSpanAt("admit", ex, exec.start)
 	tr.EndSpanAt(admit, exec.solveStart)
 	solve := tr.StartSpanAt("solve", ex, exec.solveStart)
@@ -652,24 +470,21 @@ func (s *Service) completeTrace(p *pending, job *batchJob, exec *batchExec, out 
 //     up in the result cache.
 //  2. Solve every cache miss in parallel on the deterministic trial engine,
 //     fail-soft, with the batch's minimum per-request deadline as the trial
-//     timeout. Solves hit the job memo first, so a re-execution after a
-//     cross-batch conflict only re-solves items whose instances changed.
+//     timeout.
 //  3. Commit in sequence order onto the fork. A within-batch commit conflict
 //     (an earlier commit consumed the headroom this solution budgeted
-//     against) triggers one serial re-solve, exactly as in the
-//     single-batcher design.
+//     against) triggers one serial re-solve.
 //
-// The returned execution is pure data against e; callers decide whether it
-// installs.
-func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batchExec {
+// The returned execution is pure data against e; installBatchLocked
+// publishes it.
+func (s *Service) executeBatch(e *epochLedger, job *batchJob) *batchExec {
 	fork := s.state.forkNet(e)
 	items := make([]*batchItem, len(job.batch))
-	exec := &batchExec{outcomes: make([]outcome, len(job.batch)), kind: kind, start: time.Now()}
+	exec := &batchExec{outcomes: make([]outcome, len(job.batch)), start: time.Now()}
 
 	// Phase 0: knapsack admission under scarcity. The shed mask is a pure
-	// function of (epoch, batch), and executeBatch is re-executed in commit
-	// order when its pinned epoch went stale — so shed decisions inherit the
-	// same bit-identity guarantee as placements.
+	// function of (epoch, batch), so shed decisions inherit the same
+	// bit-identity guarantee as placements.
 	shed := s.knapsackShed(e, job.batch)
 
 	// Phase 1: primaries + instances + cache lookups.
@@ -720,7 +535,7 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 	// is the representative, followers share its result. A deterministic
 	// solver would return the identical result for each anyway, so sharing
 	// changes nothing but the work done.
-	var toSolve []*batchItem
+	var misses []*batchItem
 	followers := make(map[*batchItem]*batchItem)
 	byKey := make(map[cacheKey]*batchItem)
 	for _, it := range items {
@@ -734,24 +549,11 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 			}
 			byKey[it.key] = it
 		}
-		toSolve = append(toSolve, it)
+		misses = append(misses, it)
 	}
 	solveStart := time.Now()
 	exec.solveStart = solveStart
 	metrics.stageAdmit.Observe(solveStart.Sub(exec.start))
-	var misses []*batchItem
-	missKeys := make(map[*batchItem]memoKey)
-	for _, it := range toSolve {
-		k := memoKey{seq: it.seq(), attempt: 0, inst: instanceSig(it.inst)}
-		if v, ok := job.memo[k]; ok {
-			it.res, it.trialErr = v.res, v.trialErr
-			it.memoHit = true
-			metrics.memoHits.Inc()
-			continue
-		}
-		missKeys[it] = k
-		misses = append(misses, it)
-	}
 	if len(misses) > 0 {
 		seeder := func(t int) int64 { return s.solveSeed(misses[t].seq()) }
 		results, fails, _ := engine.RunPartial(context.Background(),
@@ -764,8 +566,7 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 				TrialTimeout: batchDeadline(job.batch, s.opt.DefaultDeadline),
 				// The cheap-seed source keeps sub-100µs solves from being
 				// dominated by rng construction; still a pure function of the
-				// seed, so placements stay bit-identical across worker and
-				// batcher counts.
+				// seed, so placements stay bit-identical across worker counts.
 				Source: core.CheapSource,
 			})
 		for t, res := range results {
@@ -773,9 +574,6 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 		}
 		for i := range fails {
 			misses[fails[i].Trial].trialErr = &fails[i]
-		}
-		for _, it := range misses {
-			job.memoPut(missKeys[it], memoVal{res: it.res, trialErr: it.trialErr})
 		}
 	}
 	for it, rep := range followers {
@@ -788,7 +586,7 @@ func (s *Service) executeBatch(e *epochLedger, job *batchJob, kind string) *batc
 
 	// Phase 3: commit in sequence order onto the fork.
 	for i, it := range items {
-		out := s.finishItem(fork, job, it, exec)
+		out := s.finishItem(fork, it, exec)
 		out.solveNote = solveNoteOf(it)
 		if it.conflictResolve {
 			out.commitNote = "conflict_resolve"
@@ -815,48 +613,11 @@ func solveNoteOf(it *batchItem) string {
 		return "cache_hit"
 	case it.sharedHit:
 		return "shared"
-	case it.memoHit:
-		return "memoized"
 	case it.trialErr != nil:
 		return "failed"
 	default:
 		return "solved"
 	}
-}
-
-// instanceSig hashes everything a solver (and its seed derivation) can
-// observe about an instance: the hop bound, the request signature, the
-// materialized bins and slots per position, and the raw residual bits at
-// every bin the instance exposes. Equal signatures mean the solver sees a
-// bit-identical problem, making memoized results transferable across batch
-// re-executions.
-func instanceSig(inst *core.Instance) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(int64(inst.Params.L)))
-	put(math.Float64bits(inst.Req.Expectation))
-	put(uint64(len(inst.Req.SFC)))
-	for i, f := range inst.Req.SFC {
-		put(uint64(int64(f)))
-		put(uint64(int64(inst.Req.Primaries[i])))
-	}
-	for _, pos := range inst.Positions {
-		put(uint64(len(pos.Bins)))
-		for bi, b := range pos.Bins {
-			put(uint64(int64(b)))
-			put(uint64(int64(pos.Slots[bi])))
-		}
-	}
-	put(uint64(len(inst.BinSet)))
-	for _, u := range inst.BinSet {
-		put(uint64(int64(u)))
-		put(math.Float64bits(inst.Residual[u]))
-	}
-	return h.Sum64()
 }
 
 // placePrimaries places a request's primaries on the fork with the
@@ -886,9 +647,9 @@ func batchDeadline(batch []*pending, def time.Duration) time.Duration {
 }
 
 // finishItem commits one item onto the fork and produces its outcome (not
-// yet delivered — installBatchLocked answers the request once the batch's
-// turn to commit arrives).
-func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, exec *batchExec) outcome {
+// yet delivered — deliverOutcomes answers the request once the batch has
+// installed and flushed its WAL entry).
+func (s *Service) finishItem(work *mec.Network, it *batchItem, exec *batchExec) outcome {
 	fail := func(status int, cached bool, err error) outcome {
 		if it.primNode != nil {
 			rollback(work, it.primNode)
@@ -906,7 +667,7 @@ func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, ex
 		}
 	}
 	if it.failErr != nil {
-		return fail(http.StatusUnprocessableEntity, false, fmt.Errorf("admission: %w", it.failErr))
+		return fail(http.StatusUnprocessableEntity, false, it.failErr)
 	}
 	if it.hit != nil && it.hit.infeasible {
 		// Negative hit: the solver already failed on this exact instance.
@@ -937,7 +698,7 @@ func (s *Service) finishItem(work *mec.Network, job *batchJob, it *batchItem, ex
 		// serially, with a deterministically re-derived seed.
 		exec.conflicts++
 		it.conflictResolve = true
-		entry = s.resolveConflict(work, job, it)
+		entry = s.resolveConflict(work, it)
 		if entry == nil {
 			return fail(http.StatusUnprocessableEntity, false, fmt.Errorf("serve: re-solve after commit conflict failed"))
 		}
@@ -993,29 +754,11 @@ func (s *Service) entryFor(it *batchItem) (*cacheEntry, bool) {
 
 // resolveConflict rebuilds the instance against the fork's current view and
 // solves it serially (attempt seed RetrySeed(solveSeed, 1), mirroring the
-// fail-soft engine's retry derivation), memoized under attempt 1 so a batch
-// re-execution reuses the result when the conflicted instance is unchanged.
-func (s *Service) resolveConflict(work *mec.Network, job *batchJob, it *batchItem) *cacheEntry {
+// fail-soft engine's retry derivation).
+func (s *Service) resolveConflict(work *mec.Network, it *batchItem) *cacheEntry {
 	inst := core.NewInstance(work, it.req, core.Params{L: s.opt.HopBound})
-	key := memoKey{seq: it.seq(), attempt: 1, inst: instanceSig(inst)}
-	var res *core.Result
-	if v, ok := job.memo[key]; ok {
-		metrics.memoHits.Inc()
-		if v.trialErr != nil || v.res == nil {
-			return nil
-		}
-		res = v.res
-	} else {
-		rng := seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1))
-		r, err := s.opt.Solver.Solve(inst, rng)
-		if err != nil {
-			job.memoPut(key, memoVal{})
-			return nil
-		}
-		job.memoPut(key, memoVal{res: r})
-		res = r
-	}
-	if res == nil || res.Violated {
+	res, err := s.opt.Solver.Solve(inst, seededRand(engine.RetrySeed(s.solveSeed(it.seq()), 1)))
+	if err != nil || res == nil || res.Violated {
 		return nil
 	}
 	e := entryFromResult(res)

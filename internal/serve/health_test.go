@@ -411,14 +411,14 @@ func chaosStream(t *testing.T, svc *Service, n int, seed int64) (string, uint64)
 	return log.String(), svc.State().Hash()
 }
 
-// TestChaosDeterminismAcrossBatchers extends the bit-identity contract to
+// TestChaosDeterminismAcrossWorkers extends the bit-identity contract to
 // failure handling: the full chaos log — placements, node events, destroyed
 // instance counts, re-augmentation outcomes — and the final ledger hash are
-// identical on one batcher and on four.
-func TestChaosDeterminismAcrossBatchers(t *testing.T) {
-	run := func(batchers int) (string, uint64) {
+// identical on one solver worker and on four.
+func TestChaosDeterminismAcrossWorkers(t *testing.T) {
+	run := func(workers int) (string, uint64) {
 		svc, err := New(testNetwork(1000), Options{
-			Workers: 2, Batchers: batchers, Seed: 23,
+			Workers: workers, Seed: 23,
 			BatchSize: 4, BatchWait: 20 * time.Millisecond,
 		})
 		if err != nil {
@@ -430,7 +430,7 @@ func TestChaosDeterminismAcrossBatchers(t *testing.T) {
 	log1, hash1 := run(1)
 	log4, hash4 := run(4)
 	if log1 != log4 {
-		t.Fatalf("chaos logs differ between 1 and 4 batchers:\n--- 1 ---\n%s--- 4 ---\n%s", log1, log4)
+		t.Fatalf("chaos logs differ between 1 and 4 workers:\n--- 1 ---\n%s--- 4 ---\n%s", log1, log4)
 	}
 	if hash1 != hash4 {
 		t.Fatalf("final state hash differs: %016x vs %016x", hash1, hash4)

@@ -16,7 +16,7 @@ import (
 // are applied between waves through the service's /v1/node path — followed by
 // one watchdog audit + re-augmentation round. The schedule is precomputed
 // from Seed in ascending cloudlet order, so a fixed seed yields a
-// bit-identical chaos run at any worker or batcher count.
+// bit-identical chaos run at any worker count.
 type ChaosConfig struct {
 	// Enabled turns fault injection on.
 	Enabled bool

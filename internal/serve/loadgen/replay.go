@@ -66,7 +66,7 @@ type ReplayConfig struct {
 // With the service configured as the recording run's meta header says (same
 // seed, solver, hop bound, admission policy, network), the replayed
 // placements — and the final state hash — are bit-identical to the recorded
-// run's at any worker×batcher combination.
+// run's at any worker count.
 func Replay(svc *serve.Service, ops []serve.TraceOp, cfg ReplayConfig) (*Result, error) {
 	if cfg.WaveSize <= 0 {
 		cfg.WaveSize = 8

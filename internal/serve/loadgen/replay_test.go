@@ -13,7 +13,7 @@ import (
 
 // newServiceOpts builds a service over the canonical loadgen test network
 // (default workload, full residuals, seed 11) with caller-supplied options —
-// the record/replay tests need RecordPath and batcher counts the simpler
+// the record/replay tests need RecordPath and worker counts the simpler
 // newService helper does not expose.
 func newServiceOpts(t *testing.T, opt serve.Options) *serve.Service {
 	t.Helper()
@@ -46,21 +46,21 @@ func placements(r *Result) string {
 
 // TestRecordReplayRoundTrip pins the trace record/replay contract: a run
 // recorded through Options.RecordPath replays bit-identically — same
-// placements, same final state hash — at worker and batcher counts different
-// from the recording run's.
+// placements, same final state hash — at worker counts different from the
+// recording run's.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
 	cfg := Config{Seed: 7, Requests: 96, WaveSize: 32, DuplicateEvery: 4, ReleaseEvery: 8}
 
-	build := func(workers, batchers int, record string) *serve.Service {
+	build := func(workers int, record string) *serve.Service {
 		t.Helper()
 		svc := newServiceOpts(t, serve.Options{
-			Workers: workers, Batchers: batchers, Seed: 11, QueueDepth: 64, RecordPath: record,
+			Workers: workers, Seed: 11, QueueDepth: 64, RecordPath: record,
 		})
 		return svc
 	}
 
-	rec := build(1, 1, path)
+	rec := build(1, path)
 	orig, err := Run(rec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,23 +89,23 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	want := placements(orig)
-	for _, combo := range []struct{ w, b int }{{1, 1}, {8, 1}, {1, 4}, {8, 4}} {
-		svc := build(combo.w, combo.b, "")
+	for _, w := range []int{1, 2, 4, 8} {
+		svc := build(w, "")
 		res, err := Replay(svc, ops, ReplayConfig{WaveSize: cfg.WaveSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		svc.Drain()
 		if res.Rejected != 0 {
-			t.Fatalf("workers=%d batchers=%d: %d replay submissions rejected", combo.w, combo.b, res.Rejected)
+			t.Fatalf("workers=%d: %d replay submissions rejected", w, res.Rejected)
 		}
 		if got := placements(res); got != want {
-			t.Errorf("workers=%d batchers=%d: replay placements diverge from recording:\nrecorded:\n%s\nreplayed:\n%s",
-				combo.w, combo.b, want, got)
+			t.Errorf("workers=%d: replay placements diverge from recording:\nrecorded:\n%s\nreplayed:\n%s",
+				w, want, got)
 		}
 		if h, p := svc.State().Hash(), svc.State().PlacedCount(); h != origHash || p != origPlaced {
-			t.Errorf("workers=%d batchers=%d: replay state hash=%016x placed=%d, recorded hash=%016x placed=%d",
-				combo.w, combo.b, h, p, origHash, origPlaced)
+			t.Errorf("workers=%d: replay state hash=%016x placed=%d, recorded hash=%016x placed=%d",
+				w, h, p, origHash, origPlaced)
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestReplayVirtualVsWallClock(t *testing.T) {
 // TestRecordReplayChaosRoundTrip pins the trace contract under failures: a
 // chaos run — node transitions, destroyed instances, re-augmentations — is
 // recorded as OpNode/OpRelease/OpAugment ops (re-augmentation enqueues carry
-// the Sync flag), and replaying the trace at other worker and batcher counts
+// the Sync flag), and replaying the trace at other worker counts
 // reproduces the final ledger bit-identically. Micro-batch composition is an
 // input to every solve, so this test fails if the replay driver ever stops
 // honoring sync points.
@@ -154,7 +154,7 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 	cfg := Config{Seed: 7, Requests: 96, WaveSize: 16, ReleaseEvery: 8,
 		Chaos: ChaosConfig{Enabled: true, Seed: 3, MeanUpWaves: 3, MeanDownWaves: 2, DegradedRatio: 0.25}}
 
-	rec := newServiceOpts(t, serve.Options{Workers: 1, Batchers: 1, Seed: 11, QueueDepth: 64, RecordPath: path})
+	rec := newServiceOpts(t, serve.Options{Workers: 1, Seed: 11, QueueDepth: 64, RecordPath: path})
 	orig, err := Run(rec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,23 +190,23 @@ func TestRecordReplayChaosRoundTrip(t *testing.T) {
 		t.Fatalf("trace recorded %d node ops and %d sync augments; want both > 0", nodes, syncs)
 	}
 
-	for _, combo := range []struct{ w, b int }{{1, 1}, {8, 1}, {1, 4}, {8, 4}} {
-		svc := newServiceOpts(t, serve.Options{Workers: combo.w, Batchers: combo.b, Seed: 11, QueueDepth: 64})
+	for _, w := range []int{1, 2, 4, 8} {
+		svc := newServiceOpts(t, serve.Options{Workers: w, Seed: 11, QueueDepth: 64})
 		res, err := Replay(svc, ops, ReplayConfig{WaveSize: cfg.WaveSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		svc.Drain()
 		if res.NodeEvents != orig.NodeEvents {
-			t.Errorf("workers=%d batchers=%d: replay applied %d node events, recording had %d",
-				combo.w, combo.b, res.NodeEvents, orig.NodeEvents)
+			t.Errorf("workers=%d: replay applied %d node events, recording had %d",
+				w, res.NodeEvents, orig.NodeEvents)
 		}
 		if h, p := svc.State().Hash(), svc.State().PlacedCount(); h != origHash || p != origPlaced {
-			t.Errorf("workers=%d batchers=%d: replay state hash=%016x placed=%d, recorded hash=%016x placed=%d",
-				combo.w, combo.b, h, p, origHash, origPlaced)
+			t.Errorf("workers=%d: replay state hash=%016x placed=%d, recorded hash=%016x placed=%d",
+				w, h, p, origHash, origPlaced)
 		}
 		if got := fmt.Sprint(svc.State().DownNodes()); got != origDown {
-			t.Errorf("workers=%d batchers=%d: replay down set %s, recorded %s", combo.w, combo.b, got, origDown)
+			t.Errorf("workers=%d: replay down set %s, recorded %s", w, got, origDown)
 		}
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)

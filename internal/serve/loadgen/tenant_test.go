@@ -32,7 +32,7 @@ func tenantNetwork() *mec.Network {
 // TestTenantAdmissionDeterminism pins the admission-economics hard
 // requirement: with tenants, quotas, and each queue discipline, the full
 // placement log — admissions, quota denials, sheds, and every placement — is
-// bit-identical at any worker × batcher combination.
+// bit-identical at any worker count.
 func TestTenantAdmissionDeterminism(t *testing.T) {
 	tenants := []admission.Tenant{
 		{Name: "gold", Weight: 4},
@@ -46,12 +46,12 @@ func TestTenantAdmissionDeterminism(t *testing.T) {
 			{Name: "gold", Share: 0.3},
 		},
 	}
-	combos := []struct{ workers, batchers int }{{1, 1}, {4, 2}, {8, 3}}
+	workers := []int{1, 4, 8}
 	for _, mode := range []string{serve.AdmissionFIFO, serve.AdmissionFair, serve.AdmissionKnapsack} {
 		var want string
-		for _, c := range combos {
+		for _, w := range workers {
 			svc, err := serve.New(tenantNetwork(), serve.Options{
-				Workers: c.workers, Batchers: c.batchers, Seed: 7,
+				Workers: w, Seed: 7,
 				BatchSize: 4, BatchWait: time.Millisecond,
 				Tenants: tenants, Admission: mode, ScarcityWatermark: 0.6,
 			})
@@ -64,7 +64,7 @@ func TestTenantAdmissionDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := res.PlacementLog()
-			label := fmt.Sprintf("%s w=%d b=%d", mode, c.workers, c.batchers)
+			label := fmt.Sprintf("%s w=%d", mode, w)
 			if !strings.Contains(got, "tenant=") {
 				t.Fatalf("%s: placement log carries no tenant annotations:\n%s", label, got)
 			}
@@ -73,7 +73,7 @@ func TestTenantAdmissionDeterminism(t *testing.T) {
 				continue
 			}
 			if got != want {
-				t.Fatalf("%s: placement log diverged from the w=1 b=1 run:\nwant:\n%s\ngot:\n%s",
+				t.Fatalf("%s: placement log diverged from the w=1 run:\nwant:\n%s\ngot:\n%s",
 					label, want, got)
 			}
 		}

@@ -23,10 +23,6 @@ var metrics = struct {
 	cacheEvicted  *obs.Counter
 	epochSeq      *obs.Gauge     // current MVCC epoch sequence number
 	epochAdvances *obs.Counter   // epochs installed (batch commits, releases, restores)
-	specValid     *obs.Counter   // batch speculations that committed verbatim
-	specStale     *obs.Counter   // batch speculations invalidated by a cross-batch conflict
-	specSkipped   *obs.Counter   // batches executed in-gate because speculation was predicted stale
-	memoHits      *obs.Counter   // solver invocations skipped via the per-batch memo
 	walAppends    *obs.Counter   // WAL entries appended
 	walSnapshots  *obs.Counter   // WAL snapshots (checkpoints) written
 	walErrors     *obs.Counter   // WAL append/snapshot failures (service degrades to non-durable)
@@ -57,7 +53,7 @@ var metrics = struct {
 	stageSolve  obs.SpanHandle // phase 2: parallel fail-soft solving
 	stageCommit obs.SpanHandle // phase 3: sequential fork commits
 	stageExec   obs.SpanHandle // one whole batch execution (phases 1–3)
-	stageGate   obs.SpanHandle // commit-gate wait (batch-order serialization)
+	stageGate   obs.SpanHandle // commitMu wait (releases and health transitions hold it too)
 	stageFsync  obs.SpanHandle // post-install WAL flush wait
 }{
 	queueDepth:         obs.Default().Gauge("serve_queue_depth"),
@@ -76,10 +72,6 @@ var metrics = struct {
 	cacheEvicted:       obs.Default().Counter("serve_cache_evictions_total"),
 	epochSeq:           obs.Default().Gauge("serve_epoch"),
 	epochAdvances:      obs.Default().Counter("serve_epoch_advances_total"),
-	specValid:          obs.Default().Counter("serve_speculation_valid_total"),
-	specStale:          obs.Default().Counter("serve_speculation_stale_total"),
-	specSkipped:        obs.Default().Counter("serve_speculation_skipped_total"),
-	memoHits:           obs.Default().Counter("serve_solve_memo_hits_total"),
 	walAppends:         obs.Default().Counter("serve_wal_appends_total"),
 	walSnapshots:       obs.Default().Counter("serve_wal_snapshots_total"),
 	walErrors:          obs.Default().Counter("serve_wal_errors_total"),

@@ -67,13 +67,13 @@ func runStream(t *testing.T, svc *Service, n int, seed int64, releaseEvery int) 
 	return log.String(), svc.State().Hash()
 }
 
-// TestBatcherCountDeterminism pins the tentpole guarantee: placements and the
-// final ledger are bit-identical whether batches execute on one batcher or
-// speculatively on four.
+// TestBatcherCountDeterminism pins the sequencer's guarantee: placements and
+// the final ledger are bit-identical whether each batch's solves run on one
+// worker or on four, with releases interleaved between waves.
 func TestBatcherCountDeterminism(t *testing.T) {
-	run := func(batchers int) (string, uint64) {
+	run := func(workers int) (string, uint64) {
 		svc, err := New(testNetwork(1000), Options{
-			Workers: 2, Batchers: batchers, Seed: 7,
+			Workers: workers, Seed: 7,
 			BatchSize: 4, BatchWait: 50 * time.Millisecond,
 		})
 		if err != nil {
@@ -85,7 +85,7 @@ func TestBatcherCountDeterminism(t *testing.T) {
 	log1, hash1 := run(1)
 	log4, hash4 := run(4)
 	if log1 != log4 {
-		t.Fatalf("placement logs differ between 1 and 4 batchers:\n--- 1 ---\n%s--- 4 ---\n%s", log1, log4)
+		t.Fatalf("placement logs differ between 1 and 4 workers:\n--- 1 ---\n%s--- 4 ---\n%s", log1, log4)
 	}
 	if hash1 != hash4 {
 		t.Fatalf("final state hash differs: %016x vs %016x", hash1, hash4)
@@ -140,13 +140,13 @@ func TestLedgerConservationOverAdmitReleaseCycles(t *testing.T) {
 }
 
 // TestConcurrentReleaseRacingBatchCommit races /v1/release against batch
-// commits on four batchers (run it under -race): the ledger must conserve
+// commits (run it under -race): the ledger must conserve
 // capacity exactly, and replaying the WAL — the serial record of the same
 // event order — must rebuild the identical state hash and placement map.
 func TestConcurrentReleaseRacingBatchCommit(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(testNetwork(1000), Options{
-		Workers: 2, Batchers: 4, Seed: 9,
+		Workers: 2, Seed: 9,
 		BatchSize: 4, BatchWait: 50 * time.Millisecond,
 		WALDir: dir, WALSync: "none", SnapshotEvery: 8,
 	})

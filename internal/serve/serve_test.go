@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mec"
@@ -190,6 +192,12 @@ func TestZeroCapacityNetworkAnswers422(t *testing.T) {
 	}
 	if out.Err == "" {
 		t.Fatal("422 without an error detail")
+	}
+	if n := strings.Count(out.Err, "admission:"); n != 1 {
+		t.Fatalf("422 text %q carries the admission: prefix %d times, want once", out.Err, n)
+	}
+	if !strings.Contains(out.Err, admission.ErrNoCapacity.Error()) {
+		t.Fatalf("422 text %q does not name %q", out.Err, admission.ErrNoCapacity)
 	}
 }
 

@@ -31,13 +31,6 @@ const (
 	AdmitMaxReliability = "maxrel"
 )
 
-// groupCommitDelay is how long a flushing batcher waits for sibling
-// batchers' WAL appends before paying the fsync (only when Batchers > 1).
-// It bounds the extra commit latency a request can see from group commit;
-// the gather usually completes much sooner, as soon as every sibling's
-// append has staged.
-const groupCommitDelay = 500 * time.Microsecond
-
 // Options configures a Service. The zero value is usable: every field has a
 // serving-ready default (see New).
 type Options struct {
@@ -74,11 +67,6 @@ type Options struct {
 	CacheSize int
 	// Seed is the base of every per-request RNG seed derivation. Default 1.
 	Seed int64
-	// Batchers is the number of concurrent micro-batchers: batches execute
-	// speculatively in parallel against pinned epochs and commit in batch-
-	// sequence order, so placements stay bit-identical for any value.
-	// Default 1.
-	Batchers int
 	// WALDir, when set, arms the write-ahead log: every installed epoch is
 	// appended (and periodically checkpointed) under this directory, so a
 	// restarted service rebuilds ledger and placements exactly (see Restore).
@@ -199,12 +187,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Batchers == 0 {
-		o.Batchers = 1
-	}
-	if o.Batchers < 0 {
-		return o, fmt.Errorf("serve: batcher count %d must be positive", o.Batchers)
-	}
 	if _, err := wal.ParseSyncPolicy(o.WALSync); err != nil {
 		return o, err
 	}
@@ -319,13 +301,6 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opt.Batchers > 1 {
-			// With concurrent committers, let a flushing batcher gather the
-			// siblings' appends before paying the fsync — one disk flush then
-			// commits the whole group. A lone batcher gets no window: there
-			// is nobody to gather from, so a delay would only add latency.
-			l.SetGroupCommit(groupCommitDelay, opt.Batchers-1)
-		}
 		state.attachWAL(l, uint64(opt.SnapshotEvery))
 	}
 	s := &Service{
@@ -376,7 +351,7 @@ func New(net *mec.Network, opt Options) (*Service, error) {
 	}
 	// Replayed placements keep their IDs; new admissions continue above them.
 	s.nextSeq.Store(int64(state.MaxPlacedID()))
-	s.queue = newQueue(s, opt.QueueDepth, opt.Batchers)
+	s.queue = newQueue(s, opt.QueueDepth)
 	if opt.Restore {
 		// The journal carries health transitions and failure-rewritten
 		// records, so a restarted process resumes alerting and re-augmentation
@@ -534,8 +509,6 @@ type StateResponse struct {
 	QueueDepth int             `json:"queue_depth"`
 	CacheLen   int             `json:"cache_entries"`
 	Draining   bool            `json:"draining"`
-	// Batchers is the configured concurrent micro-batcher count.
-	Batchers int `json:"batchers"`
 	// WALDir is the write-ahead-log directory; empty when durability is off.
 	WALDir string `json:"wal_dir,omitempty"`
 	// WALEntries and WALSnapshots count WAL appends and checkpoints written
@@ -858,7 +831,6 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: s.queue.Len(),
 		CacheLen:   s.cache.Len(),
 		Draining:   s.Draining(),
-		Batchers:   s.opt.Batchers,
 	}
 	if l := s.state.wal; l != nil {
 		resp.WALDir = l.Dir()

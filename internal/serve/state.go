@@ -1,9 +1,9 @@
 // Package serve is the online augmentation service: a long-running HTTP/JSON
 // front door over the solver stack. Its network state is multi-versioned
 // (MVCC): the residual-capacity ledger lives in immutable copy-on-write
-// epochs behind one atomic pointer, so micro-batchers pin an epoch and solve
-// with no lock held, and commits install a successor epoch under a total
-// order with optimistic conflict detection. Placement records live in
+// epochs behind one atomic pointer, so readers pin an epoch with no lock
+// held, while a single sequencer executes each micro-batch against the live
+// epoch and installs its successor under the commit lock. Placement records live in
 // sharded maps beside the ledger, an LRU cache keyed by epoch hash reuses
 // solver results, and an optional write-ahead log (internal/serve/wal) makes
 // every installed epoch durable. The HTTP surface is
@@ -18,8 +18,8 @@
 //
 // Request/response schemas, error codes, and backpressure semantics are
 // documented in API.md. Determinism: identical request streams produce
-// identical placements at any worker count and any batcher count (see the
-// determinism notes on Options and the selftest in cmd/augmentd).
+// identical placements at any worker count (see the determinism notes on
+// Options and the selftest in cmd/augmentd).
 package serve
 
 import (
@@ -93,10 +93,10 @@ type State struct {
 
 	// walMu orders WAL file writes (group commit): installLocked acquires it
 	// while still holding commitMu — so append order always matches epoch
-	// order — and flushWAL releases it after the fsync. Committers drop
-	// commitMu before fsyncing, which lets the next batch execute and install
-	// while this one's durability I/O is in flight. Lock order is strictly
-	// commitMu → walMu.
+	// order — and flushWAL releases it after the append. Committers drop
+	// commitMu before fsyncing, which lets a release or health transition
+	// install while a batch's durability I/O is in flight. Lock order is
+	// strictly commitMu → walMu.
 	walMu sync.Mutex
 
 	shards [numShards]placementShard
@@ -163,8 +163,8 @@ func (s *State) shard(id int) *placementShard {
 	return &s.shards[id%numShards]
 }
 
-// pin returns the current epoch. The returned ledger is immutable; batchers
-// hold it across an entire lock-free solve phase.
+// pin returns the current epoch. The returned ledger is immutable, so
+// readers and the batch being executed share it without copying.
 func (s *State) pin() *epochLedger { return s.cur.Load() }
 
 // forkNet returns a private mutable network view seeded with e's residuals,
@@ -210,9 +210,9 @@ type installOp struct {
 // and records admitted placements — and returns the install's durability
 // ticket (nil without a WAL). Callers must hold commitMu, may then release
 // it, and must pass the ticket to flushWAL before answering clients: the
-// epoch becomes visible to new pins immediately (so the next batch can
-// execute against it while this one's fsync is in flight — group commit),
-// but responses wait for durability.
+// epoch becomes visible to new pins immediately (so a concurrent release
+// can install on top of it while this one's fsync is in flight), but
+// responses wait for durability.
 func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTicket {
 	prev := s.pin()
 	next := &epochLedger{seq: prev.seq + 1, res: res, hash: hash}
@@ -264,9 +264,8 @@ func (s *State) installLocked(res []float64, hash uint64, op installOp) *walTick
 
 // flushWAL performs a ticket's durability I/O: the ordered append (and, at
 // checkpoint cadence, the snapshot write) happen under walMu, then the lock
-// drops and the entry is fsynced via the WAL's group-commit Sync — so
-// concurrent committers coalesce onto a shared fsync while the next commit's
-// append (and solve) proceed. Append or snapshot failures are surfaced as
+// drops and the entry is fsynced via the WAL's coalescing Sync — so a batch
+// and the releases or health transitions racing it share one fsync. Append or snapshot failures are surfaced as
 // metrics and do not fail the commit: the service degrades to non-durable
 // rather than refusing traffic. Safe to call with a nil ticket (no WAL
 // attached, or an identity transition).

@@ -129,8 +129,8 @@ const (
 
 // Log is an open write-ahead log. Append, Sync, and WriteSnapshot are safe
 // for concurrent use; the serving layer orders appends itself and calls Sync
-// concurrently from its committers, relying on the group-commit coalescing
-// below for throughput.
+// concurrently from its committers (the batch sequencer, releases, health
+// transitions), relying on the fsync coalescing below.
 type Log struct {
 	mu        sync.Mutex
 	dir       string
@@ -156,14 +156,6 @@ type Log struct {
 	syncSeq   uint64
 	flushing  bool
 	flushDone chan struct{}
-
-	// Gather window (SetGroupCommit): a flush leader with siblings waits up
-	// to gatherDelay for other committers' appends to stage before flushing,
-	// so one fsync commits the whole group instead of each commit paying its
-	// own. appendCh (capacity 1) is Append's wakeup to a gathering leader.
-	gatherDelay time.Duration
-	gather      int
-	appendCh    chan struct{}
 }
 
 // Open creates dir if needed and opens the log file for appending. Existing
@@ -215,25 +207,6 @@ func (l *Log) endFlush() {
 // Dir returns the WAL directory.
 func (l *Log) Dir() string { return l.dir }
 
-// SetGroupCommit configures the Sync leader's gather window. With gather
-// sibling committers (> 0) and a positive delay, a leader about to flush
-// first waits — up to delay — until more than gather appends are staged
-// beyond the last durable one, then flushes the whole group with a single
-// fsync. This is the commit-delay half of classic group commit: without it,
-// a fast pipeline falls into lock-step where each fsync covers exactly one
-// append (the next commit's append lands just after the leader swapped the
-// buffer) and coalescing never materialises. Callers with a single
-// committer must leave gather at 0 — a delay with no siblings to gather is
-// pure added latency. Call before the first Sync; it is not synchronized
-// with concurrent flushes.
-func (l *Log) SetGroupCommit(delay time.Duration, gather int) {
-	l.gatherDelay = delay
-	l.gather = gather
-	if l.appendCh == nil {
-		l.appendCh = make(chan struct{}, 1)
-	}
-}
-
 // Entries returns the number of entries appended through this Log handle.
 func (l *Log) Entries() uint64 {
 	l.mu.Lock()
@@ -272,18 +245,7 @@ func (l *Log) Append(e Entry) (uint64, error) {
 	l.entries++
 	l.writeSeq++
 	tok := l.writeSeq
-	// Wake a gathering Sync leader only when this append completes its
-	// group — intermediate wakeups would each cost a context switch just to
-	// re-park the leader. Non-blocking, and a missed or stale signal is fine:
-	// the leader re-checks the staged count on every wakeup and has a timer.
-	signal := l.appendCh != nil && l.writeSeq-l.syncSeq > uint64(l.gather)
 	l.mu.Unlock()
-	if signal {
-		select {
-		case l.appendCh <- struct{}{}:
-		default:
-		}
-	}
 	return tok, nil
 }
 
@@ -316,29 +278,6 @@ func (l *Log) Sync(token uint64) (time.Duration, error) {
 		<-ch
 	}
 	// Flush leader from here down.
-	if l.gatherDelay > 0 && l.gather > 0 {
-		// Commit delay: hold the flush until more than gather appends are
-		// staged (one per sibling committer plus our own) or the window
-		// expires. On a single core the wait donates the CPU to the commit
-		// pipeline, which is exactly what produces the appends being waited
-		// for.
-		timer := time.NewTimer(l.gatherDelay)
-	gatherLoop:
-		for {
-			l.mu.Lock()
-			staged := l.writeSeq - l.syncSeq
-			l.mu.Unlock()
-			if staged > uint64(l.gather) {
-				break
-			}
-			select {
-			case <-l.appendCh:
-			case <-timer.C:
-				break gatherLoop
-			}
-		}
-		timer.Stop()
-	}
 	start := time.Now()
 	l.mu.Lock()
 	buf := l.pending
@@ -368,8 +307,11 @@ func (l *Log) Sync(token uint64) (time.Duration, error) {
 }
 
 // WriteSnapshot checkpoints the full state atomically (tmp file, fsync,
-// rename) and truncates the log: every entry the snapshot subsumes is
-// dropped, so Replay work stays bounded. Callers must order appends against
+// rename, directory fsync) and truncates the log: every entry the snapshot
+// subsumes is dropped, so Replay work stays bounded. The directory fsync
+// makes the rename durable before the truncate: otherwise a power loss could
+// persist the emptied log but not the new snapshot, losing every epoch the
+// truncate dropped. Callers must order appends against
 // snapshots themselves (the serving layer holds its WAL-order lock across
 // both): an entry for an epoch after the snapshot's must be appended after
 // the snapshot is written, or the truncation would drop it. Prior appends
@@ -403,6 +345,9 @@ func (l *Log) WriteSnapshot(s Snapshot) error {
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
 		return fmt.Errorf("wal: publish snapshot: %w", err)
 	}
+	if err := syncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: fsync dir: %w", err)
+	}
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate log after snapshot: %w", err)
 	}
@@ -416,6 +361,19 @@ func (l *Log) WriteSnapshot(s Snapshot) error {
 	l.pending = nil
 	l.syncSeq = l.writeSeq
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Close flushes any staged or unsynced appends (under SyncAlways) and
@@ -517,14 +475,16 @@ func EncodeFrame(payload []byte) []byte {
 }
 
 // DecodeFrame unwraps one framed line (without its trailing newline),
-// returning the payload and whether the checksum verified.
+// returning the payload and whether the checksum verified. Only the
+// canonical lowercase checksum EncodeFrame writes is accepted, so every
+// accepted line re-encodes to itself byte for byte.
 func DecodeFrame(line string) ([]byte, bool) {
 	crcHex, payload, found := strings.Cut(line, " ")
 	if !found || len(crcHex) != 8 {
 		return nil, false
 	}
 	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil {
+	if err != nil || strings.ToLower(crcHex) != crcHex {
 		return nil, false
 	}
 	if crc32.ChecksumIEEE([]byte(payload)) != uint32(want) {
